@@ -1,24 +1,13 @@
-//! Macro-benchmark: world-size scaling of the medium's spatial index and
-//! the region-sharded world engine.
+//! Macro-benchmark: world-size scaling of the medium's spatial index.
 //!
 //! Sweeps a (nodes × attackers × seed) grid of large worlds — each at the
 //! paper's node density via [`ScenarioConfig::large_world`] — through the
-//! mg-runner engine along two axes:
-//!
-//! * **medium index**: `Naive` full scan vs `Grid` cells (serial engine);
-//! * **shards**: the grid-indexed world under `Serial`, `Regions(2)` and
-//!   `Regions(4)` event lanes (override with `MG_WORLD_SHARDS`).
-//!
-//! Every cell must *fire the exact same number of events and flag the exact
-//! same diagnoses* across all strategies (index and sharding are execution
-//! details; `tests/diff_index.rs` and `tests/trace_determinism.rs` prove
-//! full byte-identity), so the only thing allowed to differ is wall-clock.
-//! The events/sec comparison — naive vs grid, and serial vs sharded — is
-//! written to `BENCH_world_scale.json` (override the path with
-//! `MG_BENCH_OUT`). On a single-core host the sharded engine cannot win
-//! wall-clock (dispatch is serialized at the merge point and there is no
-//! second core to stage on), so the JSON records the core count and the
-//! equality asserts become the bench's real product there.
+//! mg-runner engine twice, once per [`MediumIndex`] strategy. Every cell
+//! must *fire the exact same number of events* under both strategies (the
+//! index is an execution detail; `tests/diff_index.rs` proves full
+//! byte-identity), so the only thing allowed to differ is wall-clock. The
+//! events/sec comparison is written to `BENCH_world_scale.json` (override
+//! the path with `MG_BENCH_OUT`).
 //!
 //! Cells run *sequentially* through the runner and the result cache is
 //! forced off: a perf measurement must never come from a cache hit, and
@@ -28,14 +17,13 @@
 //! MG_TRIALS=1 MG_SIM_SECS=2 cargo run --release -p mg-bench --bin bench_world_scale
 //! ```
 //!
-//! Extra knobs: `MG_WORLD_NODES` (comma list, default `112,500,1000,2000`),
-//! `MG_WORLD_ATTACKERS` (comma list, default `1,4`) and `MG_WORLD_SHARDS`
-//! (comma list of region counts, default `1,2,4`).
+//! Extra knobs: `MG_WORLD_NODES` (comma list, default `112,500,1000,2000`)
+//! and `MG_WORLD_ATTACKERS` (comma list, default `1,4`).
 
 use mg_bench::BenchConfig;
 use mg_dcf::BackoffPolicy;
 use mg_detect::{ScenarioBuilder, WorldMonitors};
-use mg_net::{Scenario, ScenarioConfig, Shards};
+use mg_net::{Scenario, ScenarioConfig};
 use mg_phy::MediumIndex;
 use mg_runner::{Cache, CacheKey, CacheMode, Codec, Runner};
 use mg_sim::SimTime;
@@ -51,22 +39,6 @@ struct CellResult {
     ms: f64,
     /// Monitor pools whose diagnosis flagged their attacker.
     flagged: u64,
-}
-
-/// One row of the sweep table: a (nodes, attackers) point with the timing
-/// of every strategy that ran it.
-struct Point {
-    nodes: usize,
-    attackers: usize,
-    events: u64,
-    naive_ms: f64,
-    grid_ms: f64,
-    sharded_ms: f64,
-    naive_eps: f64,
-    grid_eps: f64,
-    sharded_eps: f64,
-    speedup: f64,
-    shard_speedup: f64,
 }
 
 fn cell_codec() -> Codec<CellResult> {
@@ -91,19 +63,11 @@ fn cell_codec() -> Codec<CellResult> {
 /// Builds and runs one large world end to end: `attackers` cheaters spread
 /// across the node range, one monitor pool per cheater, background CBR
 /// load at the paper's density.
-fn run_cell(
-    nodes: usize,
-    attackers: usize,
-    seed: u64,
-    secs: u64,
-    index: MediumIndex,
-    shards: Shards,
-) -> CellResult {
+fn run_cell(nodes: usize, attackers: usize, seed: u64, secs: u64, index: MediumIndex) -> CellResult {
     let t0 = Instant::now();
     let cfg = ScenarioConfig {
         sim_secs: secs,
         medium_index: index,
-        shards,
         ..ScenarioConfig::large_world(seed, nodes)
     };
     let scenario = Scenario::new(cfg);
@@ -150,56 +114,41 @@ fn main() {
     let bc = BenchConfig::from_env_or_exit();
     let node_sizes = list_var("MG_WORLD_NODES", &[112, 500, 1000, 2000]);
     let attacker_counts = list_var("MG_WORLD_ATTACKERS", &[1, 4]);
-    let shard_counts = list_var("MG_WORLD_SHARDS", &[1, 2, 4]);
-    let shard_axis: Vec<Shards> = shard_counts
-        .iter()
-        .map(|&n| {
-            Shards::parse(&n.to_string()).unwrap_or_else(|e| {
-                eprintln!("mg-bench: invalid MG_WORLD_SHARDS entry: {e}");
-                std::process::exit(2);
-            })
-        })
-        .collect();
     let cores = std::thread::available_parallelism().map_or(1, usize::from);
 
     // Never cache a wall-clock measurement (and never trust one): the cache
     // is forced off no matter what MG_CACHE says.
     let runner = Runner::new(Cache::new(bc.cache_dir.clone(), CacheMode::Off));
-    let run_one = |nodes: usize, attackers: usize, seed: u64, index: MediumIndex, shards: Shards| {
-        let task = (nodes, attackers, seed, index, shards);
-        let key = CacheKey::new("world-scale", 2)
-            .field("nodes", nodes)
-            .field("attackers", attackers)
-            .field("seed", seed)
-            .field("secs", bc.sim_secs)
-            .field("index", index)
-            .field("shards", shards);
-        runner
-            .sweep(std::slice::from_ref(&task), |_| key.clone(), cell_codec(), |t| {
-                run_cell(t.0, t.1, t.2, bc.sim_secs, t.3, t.4)
-            })
-            .remove(0)
-    };
 
     let mut points = Vec::new();
     for &nodes in &node_sizes {
         for &attackers in &attacker_counts {
             let mut naive = Vec::new();
-            // One measurement series per shard setting, all on the Grid
-            // index; lanes[0] (Serial) doubles as the grid-vs-naive side.
-            let mut lanes: Vec<Vec<CellResult>> = vec![Vec::new(); shard_axis.len()];
+            let mut grid = Vec::new();
             for trial in 0..bc.trials {
                 let seed = 9000 + trial;
                 // One cell per sweep call keeps the measurement serial;
-                // every strategy back to back on the same world keeps the
+                // Grid immediately after Naive on the same world keeps the
                 // machine-state comparison as local as possible.
-                naive.push(run_one(nodes, attackers, seed, MediumIndex::Naive, Shards::Serial));
-                for (lane, &shards) in shard_axis.iter().enumerate() {
-                    lanes[lane].push(run_one(nodes, attackers, seed, MediumIndex::Grid, shards));
+                for (index, out) in
+                    [(MediumIndex::Naive, &mut naive), (MediumIndex::Grid, &mut grid)]
+                {
+                    let task = (nodes, attackers, seed, index);
+                    let key = CacheKey::new("world-scale", 1)
+                        .field("nodes", nodes)
+                        .field("attackers", attackers)
+                        .field("seed", seed)
+                        .field("secs", bc.sim_secs)
+                        .field("index", index);
+                    let cell = runner
+                        .sweep(std::slice::from_ref(&task), |_| key.clone(), cell_codec(), |t| {
+                            run_cell(t.0, t.1, t.2, bc.sim_secs, t.3)
+                        })
+                        .remove(0);
+                    out.push(cell);
                 }
             }
-            let grid = &lanes[0];
-            for (a, b) in naive.iter().zip(grid) {
+            for (a, b) in naive.iter().zip(&grid) {
                 assert_eq!(
                     a.events, b.events,
                     "{nodes} nodes / {attackers} attackers: index modes diverged"
@@ -209,103 +158,57 @@ fn main() {
                     "{nodes} nodes / {attackers} attackers: diagnoses diverged"
                 );
             }
-            for (lane, cells) in lanes.iter().enumerate().skip(1) {
-                for (a, b) in grid.iter().zip(cells) {
-                    assert_eq!(
-                        a.events,
-                        b.events,
-                        "{nodes} nodes / {attackers} attackers: {} shards diverged from serial",
-                        shard_axis[lane]
-                    );
-                    assert_eq!(
-                        a.flagged,
-                        b.flagged,
-                        "{nodes} nodes / {attackers} attackers: {} shards flagged differently",
-                        shard_axis[lane]
-                    );
-                }
-            }
             let events: u64 = naive.iter().map(|c| c.events).sum();
-            let ms_of = |cells: &[CellResult]| cells.iter().map(|c| c.ms).sum::<f64>();
-            let eps_of = |ms: f64| events as f64 / (ms / 1e3).max(1e-9);
-            let naive_ms = ms_of(&naive);
-            let grid_ms = ms_of(grid);
-            let sharded_ms = ms_of(lanes.last().expect("non-empty shard axis"));
-            let (naive_eps, grid_eps, sharded_eps) =
-                (eps_of(naive_ms), eps_of(grid_ms), eps_of(sharded_ms));
+            let naive_ms: f64 = naive.iter().map(|c| c.ms).sum();
+            let grid_ms: f64 = grid.iter().map(|c| c.ms).sum();
+            let naive_eps = events as f64 / (naive_ms / 1e3).max(1e-9);
+            let grid_eps = events as f64 / (grid_ms / 1e3).max(1e-9);
             let speedup = naive_ms / grid_ms.max(1e-9);
-            let shard_speedup = grid_ms / sharded_ms.max(1e-9);
             println!(
-                "{nodes:>5} nodes x {attackers} attackers: {events:>9} events | naive {naive_ms:>9.1} ms ({naive_eps:>10.0} ev/s) | grid {grid_ms:>8.1} ms ({grid_eps:>10.0} ev/s) | speedup {speedup:.2}x | {} shards {sharded_ms:>8.1} ms ({sharded_eps:>10.0} ev/s, {shard_speedup:.2}x)",
-                shard_axis.last().expect("non-empty shard axis")
+                "{nodes:>5} nodes x {attackers} attackers: {events:>9} events | naive {naive_ms:>9.1} ms ({naive_eps:>10.0} ev/s) | grid {grid_ms:>8.1} ms ({grid_eps:>10.0} ev/s) | speedup {speedup:.2}x"
             );
-            points.push(Point {
-                nodes,
-                attackers,
-                events,
-                naive_ms,
-                grid_ms,
-                sharded_ms,
-                naive_eps,
-                grid_eps,
-                sharded_eps,
-                speedup,
-                shard_speedup,
-            });
+            points.push((nodes, attackers, events, naive_ms, grid_ms, naive_eps, grid_eps, speedup));
         }
     }
 
-    // Headline numbers: speedups at the largest world swept.
+    // Headline number: speedup at the largest world swept.
     let max_nodes = *node_sizes.iter().max().expect("non-empty node list");
-    let at_max = |pick: fn(&Point) -> f64| {
-        points
-            .iter()
-            .filter(|p| p.nodes == max_nodes)
-            .map(pick)
-            .fold(f64::INFINITY, f64::min)
-    };
-    let headline = at_max(|p| p.speedup);
-    let shard_headline = at_max(|p| p.shard_speedup);
+    let headline = points
+        .iter()
+        .filter(|p| p.0 == max_nodes)
+        .map(|p| p.7)
+        .fold(f64::INFINITY, f64::min);
 
     let round1 = |x: f64| (x * 10.0).round() / 10.0;
-    let round2 = |x: f64| (x * 100.0).round() / 100.0;
     let cells: Vec<Json> = points
         .iter()
-        .map(|p| {
+        .map(|&(nodes, attackers, events, naive_ms, grid_ms, naive_eps, grid_eps, speedup)| {
             Json::obj([
-                ("nodes", Json::from(p.nodes as u64)),
-                ("attackers", Json::from(p.attackers as u64)),
-                ("events", Json::from(p.events)),
-                ("naive_ms", Json::Num(round1(p.naive_ms))),
-                ("grid_ms", Json::Num(round1(p.grid_ms))),
-                ("sharded_ms", Json::Num(round1(p.sharded_ms))),
-                ("naive_events_per_sec", Json::Num(p.naive_eps.round())),
-                ("grid_events_per_sec", Json::Num(p.grid_eps.round())),
-                ("sharded_events_per_sec", Json::Num(p.sharded_eps.round())),
-                ("speedup", Json::Num(round2(p.speedup))),
-                ("shard_speedup", Json::Num(round2(p.shard_speedup))),
+                ("nodes", Json::from(nodes as u64)),
+                ("attackers", Json::from(attackers as u64)),
+                ("events", Json::from(events)),
+                ("naive_ms", Json::Num(round1(naive_ms))),
+                ("grid_ms", Json::Num(round1(grid_ms))),
+                ("naive_events_per_sec", Json::Num(naive_eps.round())),
+                ("grid_events_per_sec", Json::Num(grid_eps.round())),
+                ("speedup", Json::Num((speedup * 100.0).round() / 100.0)),
             ])
         })
         .collect();
     let json = Json::obj([
-        ("bench", Json::from("world_scale: naive vs grid medium index, serial vs sharded engine")),
+        ("bench", Json::from("world_scale: naive vs grid medium index")),
         ("trials", Json::from(bc.trials)),
         ("sim_secs", Json::from(bc.sim_secs)),
-        ("shards", Json::from(shard_axis.last().expect("non-empty shard axis").region_count() as u64)),
         ("cores", Json::from(cores as u64)),
         ("cells", Json::Arr(cells)),
         ("max_nodes", Json::from(max_nodes as u64)),
-        ("speedup_at_max_nodes", Json::Num(round2(headline))),
-        ("shard_speedup_at_max_nodes", Json::Num(round2(shard_headline))),
+        ("speedup_at_max_nodes", Json::Num((headline * 100.0).round() / 100.0)),
     ]);
     let path = std::env::var("MG_BENCH_OUT").unwrap_or_else(|_| "BENCH_world_scale.json".into());
     std::fs::write(&path, format!("{}\n", json.render())).unwrap_or_else(|e| {
         eprintln!("bench_world_scale: cannot write {path}: {e}");
         std::process::exit(1);
     });
-    println!("speedup at {max_nodes} nodes: index {headline:.2}x, shards {shard_headline:.2}x ({cores} core(s))");
-    if cores == 1 {
-        println!("note: single-core host — sharded timings measure overhead, not speedup; the equality asserts are the product");
-    }
+    println!("speedup at {max_nodes} nodes: {headline:.2}x ({cores} core(s))");
     println!("wrote {path}");
 }

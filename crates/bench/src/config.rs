@@ -7,9 +7,9 @@
 //! default trial count.
 
 use crate::FaultPlan;
-use mg_net::Shards;
 use mg_phy::MediumIndex;
 use mg_runner::{Cache, CacheMode, Runner};
+use mg_sim::SimTime;
 use std::path::PathBuf;
 
 /// The environment knobs shared by every experiment binary.
@@ -34,11 +34,6 @@ pub struct BenchConfig {
     /// default grid). Results are byte-identical either way; the knob
     /// exists so CI can cross-check sweeps against the reference scan.
     pub medium_index: MediumIndex,
-    /// World-engine sharding (`MG_SHARDS`: `serial` or a region count,
-    /// default serial). Like the medium index, results are byte-identical
-    /// across settings — the knob lets CI cross-check the sharded engine
-    /// against the serial scheduler on every sweep.
-    pub shards: Shards,
 }
 
 impl Default for BenchConfig {
@@ -52,7 +47,6 @@ impl Default for BenchConfig {
             cache_dir: PathBuf::from("results/.cache"),
             fault: FaultPlan::default(),
             medium_index: MediumIndex::default(),
-            shards: Shards::default(),
         }
     }
 }
@@ -72,6 +66,13 @@ impl BenchConfig {
         if cfg.sim_secs == 0 {
             return Err("invalid MG_SIM_SECS value \"0\": need at least one simulated second".into());
         }
+        if cfg.sim_secs > SimTime::MAX_SECS {
+            return Err(format!(
+                "invalid MG_SIM_SECS value \"{}\": at most {} simulated seconds",
+                cfg.sim_secs,
+                SimTime::MAX_SECS
+            ));
+        }
         cfg.csv_dir = dir_var("MG_CSV_DIR");
         cfg.json_dir = dir_var("MG_JSON_DIR");
         if let Ok(v) = std::env::var("MG_CACHE") {
@@ -87,10 +88,6 @@ impl BenchConfig {
         if let Ok(raw) = std::env::var("MG_MEDIUM_INDEX") {
             cfg.medium_index = MediumIndex::parse(&raw)
                 .map_err(|e| format!("invalid MG_MEDIUM_INDEX value: {e}"))?;
-        }
-        if let Ok(raw) = std::env::var("MG_SHARDS") {
-            cfg.shards = Shards::parse(&raw)
-                .map_err(|e| format!("invalid MG_SHARDS value: {e}"))?;
         }
         if let Ok(raw) = std::env::var("MG_FAULT_SEED") {
             let seed: u64 = raw.trim().parse().map_err(|_| {
@@ -151,7 +148,6 @@ mod tests {
             "MG_FAULT_PROFILE",
             "MG_FAULT_SEED",
             "MG_MEDIUM_INDEX",
-            "MG_SHARDS",
         ];
         let saved: Vec<_> = vars.iter().map(|v| (*v, std::env::var_os(v))).collect();
         for v in vars {
@@ -179,6 +175,13 @@ mod tests {
         std::env::set_var("MG_TRIALS", "0");
         assert!(BenchConfig::from_env().unwrap_err().contains("MG_TRIALS"));
         std::env::set_var("MG_TRIALS", "3");
+
+        std::env::set_var("MG_SIM_SECS", "18446744074");
+        let err = BenchConfig::from_env().unwrap_err();
+        assert!(err.contains("MG_SIM_SECS") && err.contains("18446744074"), "{err}");
+        std::env::set_var("MG_SIM_SECS", "18446744073");
+        assert_eq!(BenchConfig::from_env().expect("largest valid secs").sim_secs, SimTime::MAX_SECS);
+        std::env::set_var("MG_SIM_SECS", "45");
 
         std::env::set_var("MG_CACHE", "sometimes");
         let err = BenchConfig::from_env().unwrap_err();
@@ -208,18 +211,6 @@ mod tests {
         std::env::set_var("MG_MEDIUM_INDEX", "quadtree");
         let err = BenchConfig::from_env().unwrap_err();
         assert!(err.contains("MG_MEDIUM_INDEX") && err.contains("quadtree"), "{err}");
-        std::env::set_var("MG_MEDIUM_INDEX", "grid");
-
-        std::env::set_var("MG_SHARDS", "4");
-        let cfg = BenchConfig::from_env().expect("shard count parses");
-        assert_eq!(cfg.shards, Shards::Regions(4));
-        std::env::set_var("MG_SHARDS", "serial");
-        assert_eq!(BenchConfig::from_env().expect("serial parses").shards, Shards::Serial);
-        std::env::set_var("MG_SHARDS", "0");
-        let err = BenchConfig::from_env().unwrap_err();
-        assert!(err.contains("MG_SHARDS") && err.contains('0'), "{err}");
-        std::env::set_var("MG_SHARDS", "two");
-        assert!(BenchConfig::from_env().unwrap_err().contains("MG_SHARDS"));
 
         for (name, value) in saved {
             match value {

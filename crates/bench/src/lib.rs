@@ -41,7 +41,7 @@ use mg_detect::{
     JointTracker, MonitorConfig, NodeCounts, ObsJournal, ObsMeta, ObsRecorder, ScenarioBuilder,
     Violation, WorldMonitors, WorldProbe,
 };
-use mg_net::{NetObserver, Scenario, ScenarioConfig, Shards, SourceCfg, TrafficKind};
+use mg_net::{NetObserver, Scenario, ScenarioConfig, SourceCfg, TrafficKind};
 use mg_phy::MediumIndex;
 use mg_runner::{CacheKey, Codec, Runner};
 use mg_sim::{SimDuration, SimTime};
@@ -730,24 +730,10 @@ fn env_medium_index() -> MediumIndex {
     }
 }
 
-/// The `MG_SHARDS` override (default [`Shards::Serial`]), so a CI lane can
-/// rerun any sweep on the region-sharded engine and diff it against the
-/// serial reference. Malformed values abort like every other knob.
-fn env_shards() -> Shards {
-    match std::env::var("MG_SHARDS") {
-        Err(_) => Shards::default(),
-        Ok(raw) => Shards::parse(&raw).unwrap_or_else(|e| {
-            eprintln!("mg-bench: invalid MG_SHARDS value: {e}");
-            std::process::exit(2);
-        }),
-    }
-}
-
 /// The scenario base for the paper's grid experiments.
 pub fn grid_base() -> ScenarioConfig {
     ScenarioConfig {
         medium_index: env_medium_index(),
-        shards: env_shards(),
         ..ScenarioConfig::grid_paper(0)
     }
 }
@@ -757,7 +743,6 @@ pub fn random_base() -> ScenarioConfig {
     ScenarioConfig {
         traffic: TrafficKind::Cbr,
         medium_index: env_medium_index(),
-        shards: env_shards(),
         ..ScenarioConfig::random_paper(0)
     }
 }

@@ -44,56 +44,6 @@ impl TopologyCfg {
     }
 }
 
-/// How the world's event loop is partitioned across spatial regions.
-///
-/// `Serial` is the classic single-heap scheduler; `Regions(n)` cuts the
-/// field into `n` vertical slabs, each with its own event lane, advanced in
-/// lockstep epochs (conservative parallel DES). Results are **byte-identical**
-/// either way — proven by `crates/sim/tests/sharded_diff.rs` and the
-/// cross-shard gate in `tests/trace_determinism.rs` — so the choice is pure
-/// performance tuning.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum Shards {
-    /// One global event heap (the reference path).
-    #[default]
-    Serial,
-    /// `n ≥ 2` region slabs with per-region event lanes.
-    Regions(u32),
-}
-
-impl Shards {
-    /// Parses `"serial"` or a shard count: `"1"` is `Serial`, `n ≥ 2` is
-    /// `Regions(n)`, anything else (including `"0"`) is an error.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        let t = s.trim();
-        if t.eq_ignore_ascii_case("serial") {
-            return Ok(Shards::Serial);
-        }
-        match t.parse::<u32>() {
-            Ok(1) => Ok(Shards::Serial),
-            Ok(n) if n >= 2 => Ok(Shards::Regions(n)),
-            _ => Err(format!("invalid shard count {s:?}: expected serial or a count >= 1")),
-        }
-    }
-
-    /// Number of event lanes this setting produces.
-    pub fn region_count(&self) -> u32 {
-        match *self {
-            Shards::Serial => 1,
-            Shards::Regions(n) => n,
-        }
-    }
-}
-
-impl std::fmt::Display for Shards {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match *self {
-            Shards::Serial => write!(f, "serial"),
-            Shards::Regions(n) => write!(f, "{n}"),
-        }
-    }
-}
-
 /// Which of the paper's two traffic models background sources use.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum TrafficKind {
@@ -158,10 +108,6 @@ pub struct ScenarioConfig {
     /// Spatial-index strategy of the medium. Byte-identical results either
     /// way; `Grid` makes big worlds affordable (see `bench_world_scale`).
     pub medium_index: MediumIndex,
-    /// Event-loop sharding: serial heap or region-sharded lanes. Byte-
-    /// identical results either way (cross-shard gate in
-    /// `tests/trace_determinism.rs`).
-    pub shards: Shards,
 }
 
 impl ScenarioConfig {
@@ -188,7 +134,6 @@ impl ScenarioConfig {
             sim_secs: 300,
             seed,
             medium_index: MediumIndex::default(),
-            shards: Shards::default(),
         }
     }
 
@@ -328,23 +273,6 @@ mod tests {
         assert_eq!(m.speed_max, 20.0);
         assert_eq!(m.pause, SimDuration::from_secs(50));
         assert_eq!(c.topology.node_count(), 112);
-    }
-
-    #[test]
-    fn shards_parse_is_strict() {
-        assert_eq!(Shards::parse("serial").unwrap(), Shards::Serial);
-        assert_eq!(Shards::parse(" Serial ").unwrap(), Shards::Serial);
-        assert_eq!(Shards::parse("1").unwrap(), Shards::Serial);
-        assert_eq!(Shards::parse("2").unwrap(), Shards::Regions(2));
-        assert_eq!(Shards::parse("16").unwrap(), Shards::Regions(16));
-        for bad in ["0", "-1", "", "two", "4.5", "1e3"] {
-            assert!(Shards::parse(bad).is_err(), "{bad:?} must be rejected");
-        }
-        assert_eq!(Shards::default(), Shards::Serial);
-        assert_eq!(Shards::Serial.region_count(), 1);
-        assert_eq!(Shards::Regions(4).region_count(), 4);
-        assert_eq!(Shards::Regions(4).to_string(), "4");
-        assert_eq!(Shards::Serial.to_string(), "serial");
     }
 
     #[test]

@@ -45,12 +45,10 @@ mod index;
 mod medium;
 mod propagation;
 mod radio;
-mod shard;
 
 pub use medium::{EdgeChange, EndedTx, Medium, MediumIndex, RxOutcome, TxId};
 pub use propagation::PropagationModel;
 pub use radio::{dbm_to_mw, mw_to_dbm, RadioParams};
-pub use shard::SlabPlan;
 
 /// Index of a node in the simulation (dense, assigned at construction).
 pub type NodeId = usize;

@@ -10,9 +10,6 @@
 //! * [`Scheduler`] — a binary-heap event queue with strictly deterministic
 //!   FIFO tie-breaking for events scheduled at the same instant, plus O(1)
 //!   lazy cancellation.
-//! * [`ShardedScheduler`] — the region-sharded sibling: per-region event
-//!   lanes advanced in lockstep epochs (conservative parallel DES), with a
-//!   pop order provably byte-identical to [`Scheduler`].
 //! * [`rng`] — self-contained, reproducible random-number streams
 //!   ([`rng::SplitMix64`], [`rng::Xoshiro256`]) and a [`rng::RngDirectory`]
 //!   that derives independent per-node / per-purpose streams from a single
@@ -35,9 +32,7 @@
 
 pub mod rng;
 mod scheduler;
-mod sharded;
 mod time;
 
 pub use scheduler::{EventHandle, Scheduler};
-pub use sharded::{ShardedScheduler, GLOBAL_REGION};
 pub use time::{SimDuration, SimTime};

@@ -25,6 +25,9 @@ impl SimTime {
     /// The largest representable instant; useful as an "infinitely far"
     /// sentinel for timers that are not currently armed.
     pub const MAX: SimTime = SimTime(u64::MAX);
+    /// The largest whole number of seconds [`SimTime::from_secs`] accepts
+    /// without overflowing the nanosecond counter.
+    pub const MAX_SECS: u64 = u64::MAX / 1_000_000_000;
 
     /// Creates an instant `ns` nanoseconds after the start of the simulation.
     pub const fn from_nanos(ns: u64) -> Self {

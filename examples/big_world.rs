@@ -1,11 +1,10 @@
-//! Big world: 5000 clustered nodes on the region-sharded engine.
+//! Big world: 5000 clustered nodes on the serial event loop.
 //!
 //! Builds a 5000-node clustered topology (50 clumps of 100 nodes) at the
-//! paper's node density, runs it on four region-sharded event lanes
-//! (`Shards::Regions(4)`), and prints the world's counters plus the shard
-//! engine's own diagnostics (epoch barriers crossed, cross-region events
-//! exchanged). The shard count is pure execution tuning: rerun with
-//! `Shards::Serial` and every number below except wall-clock is identical.
+//! paper's node density, tags four cheaters with a monitor mesh around
+//! each, runs one simulated second and prints the world's counters and the
+//! mesh's verdicts. The grid-indexed medium keeps a world this size
+//! affordable on one core.
 //!
 //! ```text
 //! cargo run --release --example big_world
@@ -23,10 +22,9 @@ fn main() {
         field_w: side,
         field_h: side,
         sim_secs: 1,
-        shards: Shards::Regions(4),
         ..ScenarioConfig::large_world(3, nodes)
     };
-    println!("world    : {} nodes over {:.0} m x {:.0} m, {} shards", nodes, side, side, 4);
+    println!("world    : {nodes} nodes over {side:.0} m x {side:.0} m");
 
     let scenario = Scenario::new(cfg);
     let mut builder = ScenarioBuilder::new(scenario);
@@ -66,12 +64,4 @@ fn main() {
         .filter(|&&h| world.monitors().diagnosis(h).is_flagged())
         .count();
     println!("verdicts : {flagged}/{} tagged nodes flagged", watches.len());
-
-    let stats = world.shard_stats().expect("the world runs sharded");
-    println!(
-        "shards   : {} regions, {} epoch barriers, {} cross-region events, {} lookahead violations",
-        stats.regions, stats.barriers, stats.cross_region_events, stats.lookahead_violations
-    );
-    assert_eq!(stats.regions, 4);
-    assert!(stats.barriers > 0, "a populated world must cross epoch barriers");
 }

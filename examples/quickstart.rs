@@ -15,8 +15,6 @@ use manet_guard::prelude::*;
 
 fn main() {
     // The paper's Table 1 grid: 7×8 nodes, 240 m spacing, Poisson background.
-    // (Huge worlds can set `shards: Shards::Regions(n)` here to run on the
-    // region-sharded engine — byte-identical results, see examples/big_world.rs.)
     let scenario = Scenario::new(ScenarioConfig {
         sim_secs: 30,
         rate_pps: 2.0,

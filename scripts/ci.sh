@@ -130,53 +130,6 @@ if ! diff -r "$outdir/chaos-a" "$outdir/chaos-naive" \
 fi
 echo "ok: fault-seeded sweep is byte-identical under naive and grid indexes"
 
-echo "== chaos gate: fault injection is shard-agnostic =="
-# The same fault-seeded sweep on the 4-region sharded engine must match the
-# serial chaos run byte-for-byte: region sharding is an execution detail
-# exactly like the spatial index, and may not leak into any observable.
-MG_TRIALS=1 MG_SIM_SECS=2 MG_CACHE_DIR="$outdir/chaos-cache-sharded" \
-MG_SHARDS=4 \
-MG_FAULT_PROFILE="light,deaf=250:25" MG_FAULT_SEED=7 \
-MG_CSV_DIR="$outdir/chaos-sharded" MG_JSON_DIR="$outdir/chaos-sharded" \
-    cargo run -q --release --offline -p mg-bench --bin fig5 >"$outdir/chaos-sharded.stdout"
-if ! diff -r "$outdir/chaos-a" "$outdir/chaos-sharded" \
-    || ! diff "$outdir/chaos-a.stdout" "$outdir/chaos-sharded.stdout"; then
-    echo "error: sharded chaos run diverged from the serial run" >&2
-    exit 1
-fi
-# The detect CLI on the same fault-seeded world: --shards 4 vs serial must
-# agree on every line except the wall-clock one.
-run_detect_sharded() {
-    cargo run -q --release --offline -- detect --pm 60 --secs 2 --seed 5 \
-        --faults "light,seed=7" "$@" | grep -v '^run      :'
-}
-run_detect_sharded                >"$outdir/detect-serial.out"
-run_detect_sharded --shards 4     >"$outdir/detect-sharded.out"
-if ! diff "$outdir/detect-serial.out" "$outdir/detect-sharded.out"; then
-    echo "error: detect --shards 4 diverged from the serial engine" >&2
-    exit 1
-fi
-# Malformed shard counts are usage errors (exit 2), CLI and env alike.
-set +e
-cargo run -q --release --offline -- detect --shards 0 \
-    >/dev/null 2>"$outdir/shards-cli.err"
-shards_cli_status=$?
-MG_SHARDS=banana MG_TRIALS=1 MG_SIM_SECS=1 \
-    cargo run -q --release --offline -p mg-bench --bin fig5 \
-    >/dev/null 2>"$outdir/shards-env.err"
-shards_env_status=$?
-set -e
-if [ "$shards_cli_status" -ne 2 ] || ! grep -q "invalid value for --shards" "$outdir/shards-cli.err" \
-    || ! grep -q "usage:" "$outdir/shards-cli.err"; then
-    echo "error: detect --shards 0 must exit 2 with usage" >&2
-    exit 1
-fi
-if [ "$shards_env_status" -ne 2 ] || ! grep -q "MG_SHARDS" "$outdir/shards-env.err"; then
-    echo "error: a malformed MG_SHARDS must exit 2 naming the variable" >&2
-    exit 1
-fi
-echo "ok: sharded chaos run byte-identical to serial; malformed shard counts exit 2"
-
 echo "== chaos gate: a forced worker panic poisons only its cell =="
 # Task 0 panics; the sweep must still complete, name the errored cell on
 # stderr and exit nonzero instead of emitting tables.

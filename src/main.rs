@@ -20,9 +20,6 @@
 //!                     size over a single simulated world
 //!   --random          random 112-node topology instead of the grid
 //!   --mobile          add random-waypoint mobility (implies --random)
-//!   --shards <n>      run the world on n region-sharded event lanes
-//!                     (or "serial", the default); results are byte-
-//!                     identical to the serial engine at any count
 //!   --no-blatant      disable the deterministic timing check
 //!   --faults <spec>   inject observation faults at every monitor
 //!                     (e.g. "light", "heavy,seed=7", "loss=0.1,deaf=250:25");
@@ -86,10 +83,9 @@ manet-guard: back-off timer violation detection (ICDCS 2006 reproduction)
 usage:
   manet-guard demo
   manet-guard detect [--pm N] [--rate PPS] [--secs S] [--seed N]
-                     [--samples N[,N..]] [--random] [--mobile] [--shards N]
-                     [--no-blatant] [--faults SPEC] [--quorum K]
-                     [--trace FILE] [--metrics] [--record FILE]
-                     [--journal-format jsonl|bin]
+                     [--samples N[,N..]] [--random] [--mobile] [--no-blatant]
+                     [--faults SPEC] [--quorum K] [--trace FILE] [--metrics]
+                     [--record FILE] [--journal-format jsonl|bin]
   manet-guard detect --replay FILE [--samples N[,N..]] [--no-blatant]
                      [--faults SPEC] [--quorum K] [--journal-format jsonl|bin]
   manet-guard journal info FILE [--deltas]
@@ -106,7 +102,6 @@ struct DetectOpts {
     samples: Vec<usize>,
     random: bool,
     mobile: bool,
-    shards: Shards,
     no_blatant: bool,
     faults: FaultPlan,
     quorum: Option<usize>,
@@ -131,7 +126,6 @@ fn parse_detect(args: &[String]) -> Result<DetectOpts, String> {
         samples: vec![50],
         random: false,
         mobile: false,
-        shards: Shards::default(),
         no_blatant: false,
         faults: FaultPlan::default(),
         quorum: None,
@@ -148,14 +142,30 @@ fn parse_detect(args: &[String]) -> Result<DetectOpts, String> {
         let flag: &'static str = match a.as_str() {
             "--pm" => {
                 o.pm = value(&mut it, a)?;
+                if o.pm > 100 {
+                    return Err(format!("invalid value for --pm: {} (expected 0-100)", o.pm));
+                }
                 "--pm"
             }
             "--rate" => {
                 o.rate = value(&mut it, a)?;
+                if !(o.rate.is_finite() && o.rate > 0.0) {
+                    return Err(format!(
+                        "invalid value for --rate: {} (expected a finite rate > 0)",
+                        o.rate
+                    ));
+                }
                 "--rate"
             }
             "--secs" => {
                 o.secs = value(&mut it, a)?;
+                if o.secs > SimTime::MAX_SECS {
+                    return Err(format!(
+                        "invalid value for --secs: {} (at most {} simulated seconds)",
+                        o.secs,
+                        SimTime::MAX_SECS
+                    ));
+                }
                 "--secs"
             }
             "--seed" => {
@@ -173,12 +183,6 @@ fn parse_detect(args: &[String]) -> Result<DetectOpts, String> {
             "--mobile" => {
                 o.mobile = true;
                 "--mobile"
-            }
-            "--shards" => {
-                let v = raw_value(&mut it, a)?;
-                o.shards = Shards::parse(&v)
-                    .map_err(|e| format!("invalid value for --shards: {e}"))?;
-                "--shards"
             }
             "--no-blatant" => {
                 o.no_blatant = true;
@@ -232,9 +236,9 @@ fn parse_detect(args: &[String]) -> Result<DetectOpts, String> {
     }
     if seen.contains(&"--replay") {
         // The journal fixes the world; only detector-side knobs compose.
-        const WORLD_FLAGS: [&str; 10] = [
-            "--record", "--pm", "--rate", "--secs", "--seed", "--random", "--mobile", "--shards",
-            "--trace", "--metrics",
+        const WORLD_FLAGS: [&str; 9] = [
+            "--record", "--pm", "--rate", "--secs", "--seed", "--random", "--mobile", "--trace",
+            "--metrics",
         ];
         for c in WORLD_FLAGS {
             if seen.contains(&c) {
@@ -388,7 +392,6 @@ fn quorum_detect(o: &DetectOpts, k: usize) {
     };
     cfg.sim_secs = o.secs;
     cfg.rate_pps = o.rate;
-    cfg.shards = o.shards;
 
     let scenario = Scenario::new(cfg);
     let (attacker_node, primary) = scenario.tagged_pair();
@@ -835,7 +838,6 @@ fn detect(o: DetectOpts) {
     };
     cfg.sim_secs = o.secs;
     cfg.rate_pps = o.rate;
-    cfg.shards = o.shards;
 
     let scenario = Scenario::new(cfg);
     let (attacker_node, vantage) = scenario.tagged_pair();
